@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Builds the ThreadSanitizer tree and runs the concurrency-,
-# observability-, faults-, serving-, specialization-, snapshot-, and
-# resilience-labeled tests under it. This is the race-regression gate
-# for the shared Sod2Engine serving path: any data race reintroduced in
-# run(), PlanCache, the RunContext last-plan memo, the shape profiler's
-# lock-free table, the background specializer's tier-up swap,
-# Sod2Server's dispatcher/worker handoff, the circuit-breaker
-# scoreboard, Logger, the tracer/metrics layer, the fault-injection
-# sites, or the registry/env/alloc-stats singletons fails here even if
-# the uninstrumented tests still pass by luck.
+# observability-, faults-, serving-, snapshot-, and resilience-labeled
+# tests under it. This is the race-regression gate for the shared
+# Sod2Engine serving path: any data race reintroduced in run(),
+# PlanCache, the RunContext last-plan memo, Sod2Server's
+# dispatcher/worker handoff, the circuit-breaker scoreboard, Logger,
+# the tracer/metrics layer, the fault-injection sites, or the
+# registry/env/alloc-stats singletons fails here even if the
+# uninstrumented tests still pass by luck.
 #
 # Usage: scripts/check_tsan.sh [extra ctest args...]
 set -euo pipefail
@@ -17,7 +16,7 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --test-dir build-tsan \
-      -L 'concurrency|observability|faults|serving|specialization|snapshot|resilience|fleet' \
+      -L 'concurrency|observability|faults|serving|snapshot|resilience' \
       --output-on-failure "$@"
 
 # The batched load bench drives the coalescer's cross-thread handoff

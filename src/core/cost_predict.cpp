@@ -1,14 +1,11 @@
 /**
  * @file
- * The shared latency-prediction path (DESIGN.md §16).
+ * Static latency prediction for the portability bench.
  *
  * CostMeter::predictRunMicros is declared in kernels/device_profile.h
  * but defined here: prediction walks the engine's RDP result and
- * execution plan, and kernels/ must not depend on core/. Both the
- * portability bench (bench/fig13_portability's CPU/GPU crossover
- * table) and the fleet router (src/fleet/router.h) call this one
- * function, so the crossover the paper plots and the crossover the
- * fleet routes on can never drift apart.
+ * execution plan, and kernels/ must not depend on core/. Its caller is
+ * the CPU/GPU crossover table of bench/fig13_portability.
  */
 
 #include "core/sod2_engine.h"
@@ -33,8 +30,7 @@ Sod2Engine::estimateRunSeconds(const std::vector<int64_t>& values,
     // fused executor: per group anchor + epilogue terms) closely
     // enough to rank devices: the per-node launch overhead is an
     // overestimate relative to fused execution, but the bias is
-    // common-mode across members compiled from the same graph, and the
-    // router's observed/predicted EWMA absorbs the residual.
+    // common-mode across engines compiled from the same graph.
     for (int gi : plan_.order) {
         if (gi >= 0 && static_cast<size_t>(gi) < group_folded_.size() &&
             group_folded_[gi])
@@ -63,7 +59,7 @@ Sod2Engine::estimateRunSeconds(const std::vector<int64_t>& values,
             };
             std::vector<Shape> ins, outs;
             // Data-dependent (EDO/nac) shapes stay unpriced — the
-            // estimate is a lower bound, common-mode across members.
+            // estimate is a lower bound.
             if (!shapesFor(node.inputs, &ins) ||
                 !shapesFor(node.outputs, &outs))
                 continue;

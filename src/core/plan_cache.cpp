@@ -68,19 +68,6 @@ PlanCache::insertLocked(uint64_t hash, std::vector<int64_t> values,
         SOD2_THROW_CODE(ErrorCode::kInternal)
             << "injected fault at " << fault::kCacheInsert
             << ": plan-cache insert failed";
-    auto it = index_.find(hash);
-    if (it != index_.end()) {
-        auto cit = chainFind(it->second, values);
-        if (cit != it->second.end()) {
-            // In-place replace — the tier-up swap path. In-flight runs
-            // keep their shared_ptr to the old plan; new lookups (and
-            // memos, via the generation bump) see the new one.
-            (*cit)->plan = std::move(plan);
-            entries_.splice(entries_.begin(), entries_, *cit);
-            generation_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-    }
     entries_.push_front(Entry{hash, std::move(values), std::move(plan)});
     index_[hash].push_back(entries_.begin());
     generation_.fetch_add(1, std::memory_order_relaxed);
@@ -246,14 +233,6 @@ PlanCache::counters() const
     return c;
 }
 
-void
-PlanCache::insert(uint64_t hash, std::vector<int64_t> values,
-                  std::shared_ptr<const PlanInstance> plan)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    insertLocked(hash, std::move(values), std::move(plan));
-}
-
 size_t
 PlanCache::size() const
 {
@@ -269,8 +248,6 @@ PlanCache::residentSignatures(size_t max) const
     for (const Entry& e : entries_) {
         if (out.size() >= max)
             break;
-        if (e.plan && e.plan->tier != 0)
-            continue;
         out.emplace_back(e.hash, e.values);
     }
     return out;

@@ -43,13 +43,6 @@
 
 namespace sod2 {
 
-/** Tier-1 execution artifact (core/specialization.h): the signature-
- *  specific fusion plan, execution order, and compiled groups a
- *  promoted PlanInstance runs with instead of the engine's symbolic
- *  compile-time artifacts. Held by shared_ptr so the cache never needs
- *  the complete type. */
-struct SpecializedExec;
-
 /** One fully instantiated runtime plan for a concrete shape signature. */
 struct PlanInstance
 {
@@ -64,13 +57,6 @@ struct PlanInstance
     size_t arenaBytes = 0;
     /** Per-group kernel-version choices (MVC, §4.4.2). */
     std::vector<GroupKernelChoice> versions;
-    /** 0 = symbolic compile-time plan; 1 = background-specialized
-     *  fully-static plan (DESIGN.md §13). */
-    int tier = 0;
-    /** Tier-1 only: the specialized execution artifact. When set,
-     *  @ref versions / @ref intervals / offsets are indexed by ITS
-     *  fusion groups and execution order, not the engine's. */
-    std::shared_ptr<const SpecializedExec> exec;
 };
 
 /**
@@ -120,12 +106,6 @@ class PlanCache
     std::shared_ptr<const PlanInstance>
     find(uint64_t hash, const std::vector<int64_t>& values);
 
-    /** Inserts @p plan as most-recent, evicting the least recently used
-     *  entry when over capacity. Replaces any existing entry for the
-     *  key without counting an eviction. */
-    void insert(uint64_t hash, std::vector<int64_t> values,
-                std::shared_ptr<const PlanInstance> plan);
-
     /**
      * Records that a run reused its RunContext's last-plan memo — the
      * lock-free warm path in front of this cache — instead of taking
@@ -149,23 +129,20 @@ class PlanCache
     size_t capacity() const { return capacity_; }
 
     /**
-     * The (hash, values) keys of up to @p max resident tier-0 entries,
+     * The (hash, values) keys of up to @p max resident entries,
      * most-recently-used first. The engine snapshot (core/snapshot.h)
      * persists these so a loaded engine can pre-instantiate the same
-     * hot signatures; tier-1 entries are excluded — they hold compiled
-     * artifacts a snapshot cannot carry, and re-promotion happens
-     * organically through the specializer. Does not bump recency.
+     * hot signatures. Does not bump recency.
      */
     std::vector<std::pair<uint64_t, std::vector<int64_t>>>
     residentSignatures(size_t max) const;
 
     /**
-     * Content version of the cache: bumped on every insert, replace
-     * (tier-up swap), and eviction. A RunContext's last-plan memo
-     * records the generation it was filled under and refuses to serve
-     * once the generation moved on — so a promoted signature's next
-     * run re-reads the shared cache (and finds the tier-1 plan), and a
-     * memo never pins an evicted plan's memory indefinitely. Relaxed:
+     * Content version of the cache: bumped on every insert and
+     * eviction. A RunContext's last-plan memo records the generation
+     * it was filled under and refuses to serve once the generation
+     * moved on — so a memo never serves, or pins the memory of, an
+     * evicted plan indefinitely. Relaxed:
      * the memo is an optimization, the shared lookup it falls back to
      * is fully synchronized, and a stale read only costs one extra
      * locked lookup.
@@ -251,6 +228,9 @@ class PlanCache
     /** Lookup + LRU bump; requires mu_. Does not count hit/miss. */
     std::shared_ptr<const PlanInstance>
     lookupLocked(uint64_t hash, const std::vector<int64_t>& values);
+    /** Links a new most-recent entry, evicting the least recently
+     *  used one when over capacity; requires mu_ and a key that is not
+     *  resident (the caller's locked miss + registered flight). */
     void insertLocked(uint64_t hash, std::vector<int64_t> values,
                       std::shared_ptr<const PlanInstance> plan);
     void retireFlightLocked(uint64_t hash, const Flight* flight);

@@ -46,17 +46,6 @@ class RunContext
     /** The arena this context executes in (observability/tests). */
     const Arena& arena() const { return arena_; }
 
-    /**
-     * Drops the arena's backing buffer immediately (capacity -> 0); the
-     * next run re-reserves exactly what its plan needs. This is the
-     * externally-triggered counterpart of the arena's own high-water
-     * trim: the fleet's MemoryGovernor calls it (through
-     * Sod2Server::trimArenas) to reclaim an idle member's bytes under
-     * global budget pressure. NOT thread-safe — call only from the
-     * thread that owns this context, or while no run is in flight.
-     */
-    void trimArena() { arena_.reset(); }
-
     /** The engine this context is currently bound to (null before the
      *  first run). */
     const Sod2Engine* boundEngine() const { return engine_; }
@@ -94,11 +83,9 @@ class RunContext
      * The memo is versioned against the cache: last_plan_generation_
      * records PlanCache::generation() from when the memo was filled,
      * and the engine refuses the memo once the cache's generation has
-     * moved on. Without the version check a memo could (a) keep
-     * serving the tier-0 plan forever after the background specializer
-     * swapped in a tier-1 plan for its signature, and (b) pin an
-     * evicted plan's arena-sized allocations indefinitely via this
-     * shared_ptr while the cache believes the memory was reclaimed.
+     * moved on. Without the version check a memo could pin an evicted
+     * plan's allocations indefinitely via this shared_ptr while the
+     * cache believes the memory was reclaimed.
      * The cost of invalidating on ANY cache mutation (not just this
      * signature's) is one extra locked lookup after an unrelated
      * insert — fine in steady state, where the cache is quiescent.

@@ -49,8 +49,6 @@
 
 namespace sod2 {
 
-class Specializer;
-
 /** Which fusion proof strength the engine compiles with. */
 enum class FusionMode { kNone, kStatic, kRdp };
 
@@ -89,52 +87,8 @@ struct Sod2Options
      * knob for checking cached-plan reuse.
      */
     bool validateEveryPlan = false;
-    /**
-     * Tiered-specialization promotion threshold (DESIGN.md §13): after
-     * this many runs of one shape signature, a background thread
-     * recompiles it into a fully-static tier-1 plan and swaps it into
-     * the plan cache. > 0 = explicit threshold; 0 = disabled; negative
-     * (default) defers to SOD2_SPECIALIZE / SOD2_SPECIALIZE_AFTER
-     * (disabled when neither is set). Requires the plan cache
-     * (planCacheCapacity > 0) — tier-1 plans are published through it.
-     */
-    int specializeAfter = -1;
     DeviceProfile device = DeviceProfile::mobileCpu();
     SepOptions sep;
-};
-
-/**
- * Cross-engine arena arbitration (DESIGN.md §16). A RunOptions can
- * carry one of these; the engine then consults it before letting a
- * run's arena grow past its current capacity, and reports the arena's
- * actual capacity back after every arbitrated run (growth, trim, or
- * budget-rejected grow alike), so the arbiter's per-context ledger
- * tracks reality. The fleet's MemoryGovernor implements this to hold N
- * engines under one global byte budget. Implementations must be
- * thread-safe: one arbiter is shared by every worker of every member.
- * The `slot` key is the RunContext address — stable per worker, opaque
- * to the arbiter.
- */
-class ArenaArbiter
-{
-  public:
-    virtual ~ArenaArbiter() = default;
-
-    /** May @p slot's arena grow from @p currentBytes capacity to
-     *  @p requiredBytes? Returning false makes the run fail with a
-     *  typed ArenaExhausted error before any memory moves (the same
-     *  recoverable, fallback-eligible class as the per-run budget).
-     *  A `true` return commits the delta in the arbiter's ledger;
-     *  noteArenaCapacity reconciles it afterwards. */
-    virtual bool admitArenaGrow(const void* slot, size_t currentBytes,
-                                size_t requiredBytes) = 0;
-
-    /** Reports @p slot's arena capacity after an arbitrated run (or an
-     *  explicit trim): the reconciliation hook that releases budget
-     *  when the high-water trim shrank the arena, and charges reality
-     *  when a grow landed smaller than requested. */
-    virtual void noteArenaCapacity(const void* slot,
-                                   size_t capacityBytes) = 0;
 };
 
 /**
@@ -173,14 +127,6 @@ struct RunOptions
      * is already gone).
      */
     bool fallbackOnError = false;
-    /**
-     * Global cross-engine arena arbiter (fleet MemoryGovernor), or
-     * null. Consulted before this run's arena grows; notified of the
-     * arena's capacity after the run. Overlays — does not replace —
-     * arenaBudgetBytes: a grow must pass both the per-run budget and
-     * the arbiter. Not owned; must outlive every run carrying it.
-     */
-    ArenaArbiter* arenaArbiter = nullptr;
 };
 
 /** Outcome of one tryRun: outputs, or a typed error. */
@@ -207,10 +153,9 @@ struct RunResult
      * Engine-side service latency of this result, in seconds: the
      * optimized run's RunStats::seconds (wall time on real devices,
      * cost-model time on simulated profiles), or the fallback
-     * interpreter's wall time when fellBack. 0.0 on failure. The fleet
-     * router's observed-vs-predicted EWMA feeds on this — queue wait is
-     * deliberately excluded so the correction tracks the cost model,
-     * not the scheduler.
+     * interpreter's wall time when fellBack. 0.0 on failure. Queue
+     * wait is deliberately excluded: this is the run's own cost, not
+     * the scheduler's.
      */
     double serviceSeconds = 0.0;
 
@@ -267,9 +212,6 @@ struct RunStats
     /** True when this run reused a cached (or in-flight) plan instance
      *  instead of instantiating one itself. */
     bool planCacheHit = false;
-    /** Tier of the plan this run executed with: 0 = symbolic compile-
-     *  time plan, 1 = background-specialized fully-static plan. */
-    int planTier = 0;
     /** Cumulative plan-cache counters (since engine construction).
      *  Taken as one consistent snapshot under the cache lock, so
      *  hits + misses + coalesced equals the lookups completed at
@@ -338,9 +280,6 @@ class Sod2Engine
      */
     Sod2Engine(const Graph* graph, Sod2Options options,
                CompiledArtifact artifact);
-
-    /** Stops and joins the background specializer thread, if any. */
-    ~Sod2Engine();
 
     /**
      * Executes one inference through the engine-owned default context.
@@ -463,10 +402,6 @@ class Sod2Engine
     /** Outcome of the compile-time stackability proof. */
     const BatchInfo& batchInfo() const { return batch_info_; }
 
-    /** The background specializer (core/specialization.h), or null
-     *  when tiered specialization is disabled. */
-    const Specializer* specializer() const { return specializer_.get(); }
-
     /** True when this engine adopted a CompiledArtifact (snapshot
      *  load) instead of running the analysis phases itself. */
     bool loadedFromSnapshot() const { return loaded_from_snapshot_; }
@@ -474,20 +409,11 @@ class Sod2Engine
     /**
      * Copies this engine's persistable compile-time state into a
      * CompiledArtifact (the saveSnapshot input), including up to
-     * @p maxWarmEntries resident tier-0 plan-cache signatures.
+     * @p maxWarmEntries resident plan-cache signatures.
      * Thread-safe: reads only compiled state and the internally
      * synchronized cache.
      */
     CompiledArtifact exportArtifact(size_t maxWarmEntries = 16) const;
-
-    /**
-     * Blocks until the specializer's promotion queue is empty and no
-     * tier-1 compile is in flight (no-op when specialization is off).
-     * The serving layer calls this on drain/shutdown so a drained
-     * server also has no background recompilation mid-swap; safe to
-     * call concurrently with runs.
-     */
-    void quiesceSpecialization() const;
 
     /**
      * Batch-compatibility key of a canonical binding vector (from
@@ -518,8 +444,6 @@ class Sod2Engine
                               CostMeter* meter) const;
 
   private:
-    friend class Specializer;
-
     /** Shared constructor head: graph validation, registry freeze,
      *  trace/fault/metrics initialization. */
     void initCommon();
@@ -527,7 +451,7 @@ class Sod2Engine
      * Shared constructor tail: everything derivable from (graph_,
      * options_, rdp_, fusion_, plan_, versions_, folded_) — group
      * compilation, version selectors, binder, batchability, plan
-     * cache, step maps, DMP interval skeletons, specializer. Both the
+     * cache, step maps, DMP interval skeletons. Both the
      * analyzing constructor and artifact adoption end here, so derived
      * state never diverges between a compiled and a loaded engine.
      */
@@ -538,20 +462,6 @@ class Sod2Engine
      *  the plan cache memoizes. */
     std::shared_ptr<const PlanInstance>
     instantiatePlan(const std::map<std::string, int64_t>& bindings) const;
-    /**
-     * Recompiles @p values' signature into a fully-static tier-1 plan:
-     * all-dims-known RDP, concrete re-fusion, SEP under the one true
-     * binding, specialize-time constant folding, pre-bound DMP
-     * offsets, pinned MVC versions (defined in specialization.cpp).
-     * Throws on failure; never touches serving state.
-     */
-    std::shared_ptr<const PlanInstance>
-    buildSpecializedPlan(const std::vector<int64_t>& values) const;
-    /** Specializer entry: builds the tier-1 plan for (@p hash,
-     *  @p values) and atomically swaps it into the plan cache. Returns
-     *  false (leaving tier-0 serving) on any failure. */
-    bool specializeSignature(uint64_t hash,
-                             const std::vector<int64_t>& values) const;
     /** Binds @p inputs' shapes into @p values and returns the
      *  signature hash — the shared core of run() and signatureFor()
      *  (no input validation; callers do that first). */
@@ -605,8 +515,8 @@ class Sod2Engine
     std::shared_ptr<const std::vector<size_t>> unplanned_offsets_;
 
     /** Process-wide metric handles ("engine.*", support/metrics.h),
-     *  resolved once at compile time; observed only when tracing is
-     *  enabled so the disabled hot path stays branch-only. */
+     *  resolved once at compile time; observed on every successful
+     *  run (relaxed atomics only). */
     Counter* metric_runs_ = nullptr;
     Histogram* metric_run_us_ = nullptr;
     Histogram* metric_plan_us_ = nullptr;
@@ -627,16 +537,6 @@ class Sod2Engine
 
     /** True when construction adopted a CompiledArtifact. */
     bool loaded_from_snapshot_ = false;
-
-    /** Background tier-up worker (null when specialization is off).
-     *  Internally synchronized, like the cache it publishes through;
-     *  its thread only reads compiled state and inserts into the
-     *  cache, so const runs may poke it freely. MUST stay the last
-     *  data member: ~Specializer joins the compile thread, and that
-     *  thread reads other members (unplanned_offsets_, plan_cache_,
-     *  interval_templates_, ...) — declared any earlier, those would
-     *  be destroyed while a tier-1 compile is still in flight. */
-    std::unique_ptr<Specializer> specializer_;
 };
 
 }  // namespace sod2

@@ -76,14 +76,11 @@ class CostMeter
      * dynamic-dimension binding @p values (the same vector
      * Sod2Engine::signatureFor hashes), by charging every node the RDP
      * analysis can statically shape to the engine's own device profile.
-     * This is the single prediction path shared by the portability
-     * bench (bench/fig13_portability) and the fleet router
-     * (src/fleet/router.h); nodes whose shapes stay data-dependent
-     * under RDP are skipped, so the estimate is a lower bound that is
-     * common-mode across members and corrected online by the router's
-     * observed/predicted EWMA. Defined in src/core/cost_predict.cpp
-     * (prediction needs the engine's RDP result; kernels/ itself must
-     * not depend on core/).
+     * The CPU/GPU crossover table of bench/fig13_portability is built
+     * from it. Nodes whose shapes stay data-dependent under RDP are
+     * skipped, so the estimate is a lower bound. Defined in
+     * src/core/cost_predict.cpp (prediction needs the engine's RDP
+     * result; kernels/ itself must not depend on core/).
      */
     static double predictRunMicros(const Sod2Engine& engine,
                                    const std::vector<int64_t>& values);

@@ -45,9 +45,7 @@ RequestQueue::peekCompatible(uint64_t key, uint64_t epoch, size_t max,
     int passed_priority = 0;
     for (auto it = items_.begin(); it != items_.end() && moved < max;) {
         uint64_t item_key = use_compat_key ? it->compatKey : it->signature;
-        // Maintenance items are not requests: never coalesced (they
-        // also count toward the priority fence like any passed item).
-        if (!it->maintenance && item_key == key && it->epoch == epoch &&
+        if (item_key == key && it->epoch == epoch &&
             (!admit || admit(*it))) {
             if (passed_nonmatching && it->priority < passed_priority)
                 break;

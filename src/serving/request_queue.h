@@ -80,17 +80,6 @@ struct Pending
      * to the scoreboard or the breaker wedges half-open.
      */
     bool breakerProbe = false;
-    /**
-     * Maintenance item (Sod2Server::trimArenas): when set, the worker
-     * runs this on its own RunContext instead of executing a request —
-     * the only way to touch a pinned context without racing a run.
-     * Maintenance items bypass admission accounting (never counted in
-     * queued_count_/bytes), are never batched (peekCompatible skips
-     * them), and resolve their promise with a default RunResult once
-     * the callback returns. Pushed at maximum priority with the epoch
-     * sentinel UINT64_MAX, which no admission epoch ever uses.
-     */
-    std::function<void(RunContext&)> maintenance;
 };
 
 /** Closeable priority-FIFO handoff between dispatcher and one worker. */

@@ -1,7 +1,6 @@
 #include "serving/server.h"
 
 #include <algorithm>
-#include <climits>
 #include <utility>
 
 #include "support/env.h"
@@ -194,6 +193,27 @@ Sod2Server::failPending(Pending& p, ErrorCode code,
     r.code = code;
     r.message = message;
     p.promise.set_value(std::move(r));
+}
+
+void
+Sod2Server::discardPending(std::deque<Pending>& dropped)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const Pending& p : dropped) {
+            queued_bytes_ -= p.bytes;
+            releaseEpochLocked(p.epoch);
+        }
+        queued_count_ -= dropped.size();
+        counts_.discarded += dropped.size();
+    }
+    metric_queue_depth_->add(-static_cast<int64_t>(dropped.size()));
+    for (Pending& p : dropped) {
+        metric_shed_->add();
+        failPending(p, ErrorCode::kShutdown,
+                    "request discarded by server shutdown");
+    }
+    idle_cv_.notify_all();
 }
 
 std::future<RunResult>
@@ -437,17 +457,6 @@ Sod2Server::workerLoop(size_t index)
     while (worker.queue.pop(&first)) {
         worker.lastProgressUs.store(nowMicros(),
                                     std::memory_order_relaxed);
-        // Maintenance item (trimArenas): run the callback on this
-        // worker's pinned context — the only thread allowed to touch
-        // it — then resolve and go back to popping. Maintenance never
-        // entered the admission counters, so none are released here.
-        if (first.maintenance) {
-            first.maintenance(worker.ctx);
-            worker.arenaBytes.store(worker.ctx.arena().capacity(),
-                                    std::memory_order_relaxed);
-            first.promise.set_value(RunResult());
-            continue;
-        }
         // Continuous batching: grow the popped request into a batch of
         // compatible queued requests (bounded straggler wait inside).
         // A solo-quarantined leader skips coalescing entirely.
@@ -798,8 +807,8 @@ Sod2Server::workerLoop(size_t index)
 
         // The arena mirror must be current BEFORE any future resolves:
         // a caller that run()s synchronously and then reads
-        // residentArenaBytes() (the fleet's governor probe) must see
-        // the capacity this batch left behind.
+        // residentArenaBytes() must see the capacity this batch left
+        // behind.
         worker.arenaBytes.store(worker.ctx.arena().capacity(),
                                 std::memory_order_relaxed);
 
@@ -832,9 +841,9 @@ Sod2Server::workerLoop(size_t index)
             }
             if (ok)
                 metric_completed_->add();
-            // Executed-request hook (fleet EWMA feed): outside mu_,
-            // before the future resolves, so an observer that queries
-            // this server back cannot deadlock on the stats lock.
+            // Executed-request hook: outside mu_, before the future
+            // resolves, so an observer that queries this server back
+            // cannot deadlock on the stats lock.
             if (options_.completionObserver)
                 options_.completionObserver(live[i].signature, result);
             live[i].promise.set_value(std::move(result));
@@ -857,18 +866,9 @@ void
 Sod2Server::drain()
 {
     start();  // a paused server cannot drain itself
-    const Sod2Engine* eng = nullptr;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        idle_cv_.wait(
-            lock, [&] { return queued_count_ == 0 && inflight_ == 0; });
-        eng = engine_;
-    }
-    // "Drained" also means no background specialization mid-swap:
-    // quiesce after the request wait (the compile queue only grows
-    // from request runs, so it cannot refill once idle). Outside mu_ —
-    // the specializer has its own locks.
-    eng->quiesceSpecialization();
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock,
+                  [&] { return queued_count_ == 0 && inflight_ == 0; });
 }
 
 size_t
@@ -901,13 +901,11 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
     // Phase 2 — atomic admission switch. From the next submit on,
     // every request validates against (and runs on) the green engine;
     // requests already admitted keep their engine pointer and epoch.
-    const Sod2Engine* old_engine = nullptr;
     uint64_t old_epoch = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (stopped_)
             return 0;  // shut down: nothing to swap to or from
-        old_engine = engine_;
         old_epoch = engine_epoch_;
         engine_ = next;
         ++engine_epoch_;
@@ -932,13 +930,6 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
                     // Queue closed by a concurrent shutdown: fall
                     // through to the typed shed below.
                 }
-                if (p.maintenance) {
-                    // Maintenance never entered admission accounting;
-                    // just resolve it typed (trimArenas unblocks).
-                    failPending(p, ErrorCode::kShutdown,
-                                "maintenance superseded by shutdown");
-                    continue;
-                }
                 {
                     std::lock_guard<std::mutex> lock(mu_);
                     --queued_count_;
@@ -958,16 +949,12 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
 
     // Phase 4 — drain blue. Its epoch's live count covers queued and
     // in-flight requests alike, so zero means every blue future is
-    // resolved; quiescing the specializer afterwards means no blue
-    // background compile is in flight either — the old engine may be
-    // destroyed the moment this returns.
+    // resolved — the old engine may be destroyed the moment this
+    // returns.
     if (opts.waitForDrain) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            idle_cv_.wait(lock,
-                          [&] { return epochLiveLocked(old_epoch) == 0; });
-        }
-        old_engine->quiesceSpecialization();
+        std::unique_lock<std::mutex> lock(mu_);
+        idle_cv_.wait(lock,
+                      [&] { return epochLiveLocked(old_epoch) == 0; });
     }
     return shed;
 }
@@ -999,32 +986,8 @@ Sod2Server::shutdown(bool drain_pending)
         // Fail everything still queued with a typed Shutdown result.
         for (auto& w : workers_) {
             std::deque<Pending> dropped = w->queue.drainNow();
-            if (dropped.empty())
-                continue;
-            // Maintenance items (trimArenas) never entered admission
-            // accounting — releasing budget for them would underflow
-            // the counters; they only need their promise resolved.
-            size_t requests = 0;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                for (const Pending& p : dropped) {
-                    if (p.maintenance)
-                        continue;
-                    ++requests;
-                    queued_bytes_ -= p.bytes;
-                    releaseEpochLocked(p.epoch);
-                }
-                queued_count_ -= requests;
-                counts_.discarded += requests;
-            }
-            metric_queue_depth_->add(-static_cast<int64_t>(requests));
-            for (Pending& p : dropped) {
-                if (!p.maintenance)
-                    metric_shed_->add();
-                failPending(p, ErrorCode::kShutdown,
-                            "request discarded by server shutdown");
-            }
-            idle_cv_.notify_all();
+            if (!dropped.empty())
+                discardPending(dropped);
         }
     }
 
@@ -1050,42 +1013,9 @@ Sod2Server::shutdown(bool drain_pending)
     // whatever is left in any queue can only be resolved here.
     for (auto& w : workers_) {
         std::deque<Pending> leftovers = w->queue.drainNow();
-        if (leftovers.empty())
-            continue;
-        // Same maintenance partition as the non-draining sweep above.
-        size_t requests = 0;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const Pending& p : leftovers) {
-                if (p.maintenance)
-                    continue;
-                ++requests;
-                queued_bytes_ -= p.bytes;
-                releaseEpochLocked(p.epoch);
-            }
-            queued_count_ -= requests;
-            counts_.discarded += requests;
-        }
-        metric_queue_depth_->add(-static_cast<int64_t>(requests));
-        for (Pending& p : leftovers) {
-            if (!p.maintenance)
-                metric_shed_->add();
-            failPending(p, ErrorCode::kShutdown,
-                        "request discarded by server shutdown");
-        }
-        idle_cv_.notify_all();
+        if (!leftovers.empty())
+            discardPending(leftovers);
     }
-
-    // Workers are gone, so no new promotions can be queued; wait out
-    // any in-flight specialization so the engine is fully quiescent
-    // when shutdown() returns (the engine's own destructor would also
-    // join, but callers deserve the stronger postcondition here).
-    const Sod2Engine* eng = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        eng = engine_;
-    }
-    eng->quiesceSpecialization();
 }
 
 ServerStats
@@ -1105,58 +1035,6 @@ Sod2Server::residentArenaBytes() const
     for (const auto& w : workers_)
         total += w->arenaBytes.load(std::memory_order_relaxed);
     return total;
-}
-
-size_t
-Sod2Server::trimArenas(
-    const std::function<void(const RunContext&)>& after)
-{
-    // Snapshot the lifecycle under mu_; trimming takes the inline path
-    // whenever no worker thread could be running (paused or stopped),
-    // because a parked queue has no consumer to execute a maintenance
-    // item and a stopped one is closed to pushes.
-    bool inline_trim = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        inline_trim = !started_ || stopped_;
-    }
-    if (inline_trim) {
-        for (auto& w : workers_) {
-            w->ctx.trimArena();
-            w->arenaBytes.store(0, std::memory_order_relaxed);
-            if (after)
-                after(w->ctx);
-        }
-        return workers_.size();
-    }
-
-    // Running server: one maximum-priority maintenance item per
-    // worker, executed on the worker's own thread so the trim can
-    // never race an in-flight run on the pinned context. The epoch
-    // sentinel UINT64_MAX is outside every admission epoch, so the
-    // epoch ledger and hard-cutover re-push logic both pass it
-    // through untouched.
-    std::vector<std::future<RunResult>> done;
-    done.reserve(workers_.size());
-    size_t trimmed = 0;
-    for (auto& w : workers_) {
-        Pending p;
-        p.maintenance = [after](RunContext& ctx) {
-            ctx.trimArena();
-            if (after)
-                after(ctx);
-        };
-        p.priority = INT_MAX;
-        p.epoch = UINT64_MAX;
-        std::future<RunResult> f = p.promise.get_future();
-        if (!w->queue.push(std::move(p)))
-            continue;  // raced with shutdown; that worker keeps its arena
-        done.push_back(std::move(f));
-        ++trimmed;
-    }
-    for (auto& f : done)
-        f.wait();
-    return trimmed;
 }
 
 ServerHealth

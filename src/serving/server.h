@@ -177,9 +177,9 @@ struct ServerOptions
      * shape signature and its final RunResult, from the worker thread
      * right before the future resolves (shed paths — QueueFull,
      * in-queue expiry, shutdown discards — are not executions and are
-     * not observed). The fleet router hooks this to feed its
-     * observed-vs-predicted latency EWMA. Must be thread-safe and
-     * cheap; it runs on the serving hot path.
+     * not observed). Load generators hook this to timestamp each
+     * request's own completion. Must be thread-safe and cheap; it runs
+     * on the serving hot path.
      */
     std::function<void(uint64_t signature, const RunResult& result)>
         completionObserver;
@@ -206,8 +206,7 @@ struct SwapOptions
     bool hardCutover = false;
     /**
      * true (default): block until every old-engine request (queued and
-     * in-flight) has resolved and the old engine's background
-     * specializer is quiescent — on return the old engine may be
+     * in-flight) has resolved — on return the old engine may be
      * destroyed. false: return right after admission switches; the
      * CALLER must then keep the old engine alive until its last
      * request resolves.
@@ -397,26 +396,10 @@ class Sod2Server
     /**
      * Sum of every worker arena's capacity, in bytes, as of each
      * worker's last completed batch (a lock-free mirror — a run in
-     * flight may have grown its arena already). The fleet governor's
-     * per-member residency signal.
+     * flight may have grown its arena already): the server's resident
+     * memory, as a load generator or health probe reads it.
      */
     size_t residentArenaBytes() const;
-
-    /**
-     * Drops every worker arena's backing buffer (capacity -> 0); the
-     * next run on each worker re-reserves exactly what its plan needs.
-     * On a running server this enqueues one highest-priority
-     * maintenance item per worker and blocks until each has executed
-     * on its own thread — never racing an in-flight run; on a paused
-     * or stopped server the arenas are trimmed inline. @p after, when
-     * set, runs on the worker thread right after each trim (the fleet
-     * governor reconciles its ledger there). Returns the number of
-     * worker arenas trimmed. Safe to call concurrently with serving;
-     * an admission-closed server still trims (trim is maintenance,
-     * not a request).
-     */
-    size_t trimArenas(
-        const std::function<void(const RunContext&)>& after = {});
 
   private:
     struct Worker
@@ -432,7 +415,7 @@ class Sod2Server
         std::atomic<bool> stuck{false};
         std::atomic<int64_t> busyDeadlineUs{0};
         std::atomic<int64_t> lastProgressUs{0};
-        /** Arena capacity after the last batch/trim on this worker
+        /** Arena capacity after the last batch on this worker
          *  (relaxed mirror for residentArenaBytes()/health()). */
         std::atomic<size_t> arenaBytes{0};
     };
@@ -445,6 +428,9 @@ class Sod2Server
      *  outcome count. Callable with or without mu_ held. */
     void failPending(Pending& p, ErrorCode code,
                      const std::string& message);
+    /** Shutdown sweep: releases @p dropped's admission accounting and
+     *  fails each with a typed Shutdown result. Requires !mu_. */
+    void discardPending(std::deque<Pending>& dropped);
     /** Drops one admitted request of @p epoch from the per-epoch live
      *  count (requires mu_; no-op for untracked epochs). */
     void releaseEpochLocked(uint64_t epoch);

@@ -148,18 +148,6 @@ batchPad()
 }
 
 int
-specializeAfter()
-{
-    static const int value = [] {
-        int after = readPositiveInt("SOD2_SPECIALIZE_AFTER", 0);
-        if (after > 0)
-            return after;
-        return readFlag("SOD2_SPECIALIZE") ? 64 : 0;
-    }();
-    return value;
-}
-
-int
 breakerThreshold()
 {
     static const int value =
@@ -210,21 +198,6 @@ watchdogMillis()
 {
     static const long long value =
         readPositiveInt64("SOD2_WATCHDOG_MS", 100);
-    return value;
-}
-
-size_t
-fleetBudgetBytes()
-{
-    static const size_t value =
-        static_cast<size_t>(readPositiveInt64("SOD2_FLEET_BUDGET", 0));
-    return value;
-}
-
-const std::string&
-fleetRouting()
-{
-    static const std::string value = readString("SOD2_FLEET_ROUTING");
     return value;
 }
 

@@ -41,17 +41,6 @@ bool validatePlans();
 int numThreads();
 
 /**
- * SOD2_SPECIALIZE / SOD2_SPECIALIZE_AFTER — tiered-specialization
- * promotion threshold (DESIGN.md §13) for engines whose Sod2Options
- * leaves specializeAfter negative. SOD2_SPECIALIZE_AFTER=<n> enables
- * the background specializer and promotes a shape signature to a
- * fully-static tier-1 plan after n runs; SOD2_SPECIALIZE=1 enables it
- * at the default threshold (64). Returns 0 when neither is set
- * (specialization disabled). Cached at first query, once per process.
- */
-int specializeAfter();
-
-/**
  * SOD2_TRACE=1 — enables the span/event tracer (support/trace.h).
  * Cached at first query, once per process.
  */
@@ -193,24 +182,6 @@ bool snapshotEnabled();
  * once per process.
  */
 const std::string& snapshotDir();
-
-/**
- * SOD2_FLEET_BUDGET — global arena budget, in bytes, shared by every
- * member of a Sod2Fleet whose FleetOptions leaves
- * globalArenaBudgetBytes at 0 (DESIGN.md §16). The MemoryGovernor
- * denies any arena grow that would push the fleet-wide committed total
- * past this. 0 (unset) means unlimited. Cached at first query, once
- * per process.
- */
-size_t fleetBudgetBytes();
-
-/**
- * SOD2_FLEET_ROUTING — routing mode of a Sod2Fleet whose FleetOptions
- * leaves routing empty: "cost" (default; cost-model-predicted latency
- * with EWMA correction and queue-depth tie-breaking) or "round_robin".
- * Empty when unset. Cached at first query, once per process.
- */
-const std::string& fleetRouting();
 
 /**
  * SOD2_BENCH_SAMPLES — per-point sample count of the bench harness's

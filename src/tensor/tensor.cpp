@@ -168,7 +168,11 @@ Tensor
 Tensor::fromInt64(const std::vector<int64_t>& values)
 {
     Tensor t(DType::kInt64, Shape({static_cast<int64_t>(values.size())}));
-    std::memcpy(t.data_, values.data(), values.size() * sizeof(int64_t));
+    // An empty vector's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (!values.empty())
+        std::memcpy(t.data_, values.data(),
+                    values.size() * sizeof(int64_t));
     return t;
 }
 

@@ -248,6 +248,42 @@ TEST(Engine, SimulatedGpuProfileReportsCostModelTime)
     (void)out;
 }
 
+TEST(Engine, PredictRunMicrosPositiveAndMonotone)
+{
+    // Static prediction (the Figure 13 crossover table's source) grows
+    // with the input and reproduces the CPU/GPU crossover: launch
+    // overhead dominates small inputs, flops dominate large ones.
+    TestModel m = TestModel::cnn();
+    Sod2Options cpu_opts;
+    cpu_opts.rdp = m.rdp;
+    cpu_opts.device = DeviceProfile::mobileCpu();
+    cpu_opts.device.simulated = true;
+    Sod2Engine cpu(&m.graph, cpu_opts);
+    Sod2Options gpu_opts;
+    gpu_opts.rdp = m.rdp;
+    gpu_opts.device = DeviceProfile::mobileGpu();
+    Sod2Engine gpu(&m.graph, gpu_opts);
+
+    Rng rng(1);
+    std::vector<int64_t> vsmall, vlarge;
+    cpu.signatureFor({Tensor::randomUniform(Shape({1, 3, 8, 8}), rng)},
+                     &vsmall);
+    cpu.signatureFor({Tensor::randomUniform(Shape({8, 3, 96, 96}), rng)},
+                     &vlarge);
+
+    double cpu_small = CostMeter::predictRunMicros(cpu, vsmall);
+    double cpu_large = CostMeter::predictRunMicros(cpu, vlarge);
+    double gpu_small = CostMeter::predictRunMicros(gpu, vsmall);
+    double gpu_large = CostMeter::predictRunMicros(gpu, vlarge);
+
+    EXPECT_GT(cpu_small, 0.0);
+    EXPECT_GT(gpu_small, 0.0);
+    EXPECT_GT(cpu_large, cpu_small);
+    EXPECT_GT(gpu_large, gpu_small);
+    EXPECT_LT(cpu_small, gpu_small);
+    EXPECT_GT(cpu_large, gpu_large);
+}
+
 
 TEST(Engine, ConstantFoldingPrecomputesConstantSubgraphs)
 {

@@ -451,7 +451,7 @@ TEST(MetricsTest, EngineHistogramCountsEveryRunAcrossEightThreads)
     opts.rdp = m.rdp;
     Sod2Engine engine(&m.graph, opts);
 
-    TraceGuard on(true);  // metrics observe on the traced path
+    TraceGuard off(false);  // metrics are always on, traced or not
     Histogram& run_us =
         MetricsRegistry::instance().histogram("engine.run_us");
     Counter& runs = MetricsRegistry::instance().counter("engine.runs");

@@ -295,42 +295,6 @@ TEST(ContextMemo, InvalidatedByEvictionNotServedStale)
     EXPECT_GT(engine.planCache()->contextHits(), memo_hits);
 }
 
-TEST(ContextMemo, RefreshedOnTierUpSwap)
-{
-    // A warm worker sitting on its memo must observe a background
-    // tier-up on its very next run: the swap bumps the cache
-    // generation, which invalidates every memo stamped before it.
-    TestModel m = TestModel::cnn();
-    Sod2Options opts;
-    opts.rdp = m.rdp;
-    opts.specializeAfter = 3;
-    Sod2Engine engine(&m.graph, opts);
-
-    Tensor in = cnnInput(2, 16, 20, 7);
-    RunContext ctx;
-    RunStats stats;
-
-    engine.run(ctx, {in}, &stats);  // miss (run 1)
-    engine.run(ctx, {in}, &stats);  // memo hit (run 2)
-    EXPECT_TRUE(stats.planCacheHit);
-    EXPECT_EQ(stats.planTier, 0);
-
-    engine.run(ctx, {in}, &stats);  // run 3: crosses the threshold
-    engine.quiesceSpecialization();  // tier-1 plan swapped in
-
-    // Without generation versioning this run would serve the stale
-    // tier-0 memo; with it, the memo misses once and picks up tier-1.
-    engine.run(ctx, {in}, &stats);
-    EXPECT_EQ(stats.planTier, 1);
-    EXPECT_TRUE(stats.planCacheHit);
-
-    // And the refreshed memo serves tier-1 thereafter.
-    size_t memo_hits = engine.planCache()->contextHits();
-    engine.run(ctx, {in}, &stats);
-    EXPECT_EQ(stats.planTier, 1);
-    EXPECT_EQ(engine.planCache()->contextHits(), memo_hits + 1);
-}
-
 TEST(RunStatsAudit, HitPathPlanSecondsCollapses)
 {
     TestModel m = TestModel::cnn();
@@ -460,7 +424,9 @@ TEST(PlanCacheUnit, InsertFindEvict)
         return cache.find(s.hash, {v});
     };
     auto insert = [&](int64_t v) {
-        cache.insert(sig(v).hash, {v}, std::make_shared<PlanInstance>());
+        cache.findOrInstantiate(sig(v).hash, {v}, [] {
+            return std::make_shared<const PlanInstance>();
+        });
     };
 
     EXPECT_EQ(find(1), nullptr);
@@ -589,17 +555,17 @@ TEST_F(PlanCacheFaults, InsertFaultStillPublishesPlanToWaiters)
 TEST_F(PlanCacheFaults, DirectInsertFaultIsTypedAndClean)
 {
     PlanCache cache(2);
-    cache.insert(canonicalBindingSignature({{"s", 1}}).hash, {1},
-                 std::make_shared<PlanInstance>());
+    auto build = [] { return std::make_shared<const PlanInstance>(); };
+    const uint64_t h1 = canonicalBindingSignature({{"s", 1}}).hash;
+    const uint64_t h2 = canonicalBindingSignature({{"s", 2}}).hash;
+    auto resident = cache.findOrInstantiate(h1, {1}, build);
     fault::arm(fault::kCacheInsert);
-    EXPECT_THROW(
-        cache.insert(canonicalBindingSignature({{"s", 2}}).hash, {2},
-                     std::make_shared<PlanInstance>()),
-        Error);
+    EXPECT_THROW(cache.findOrInstantiate(h2, {2}, build), Error);
     // The resident entry and the LRU stayed intact.
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_NE(cache.find(canonicalBindingSignature({{"s", 1}}).hash, {1}),
-              nullptr);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.find(h1, {1}), resident);
+    EXPECT_EQ(cache.find(h2, {2}), nullptr);
 }
 
 TEST_F(PlanCacheFaults, InstantiateFaultDoesNotWedgeSignature)

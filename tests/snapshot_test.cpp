@@ -356,9 +356,9 @@ TEST(SnapshotLifecycle, SourceDestructionDuringLoadInFlight)
     source->run({cnnInput(1, 16, 16, 9)});  // warm entry in the file
     saveSnapshot(*source, path);
 
-    // Load in one thread while the source engine (including its
-    // background specializer) is torn down in another: the snapshot
-    // borrows nothing from the source, so the load must succeed.
+    // Load in one thread while the source engine is torn down in
+    // another: the snapshot borrows nothing from the source, so the
+    // load must succeed.
     std::unique_ptr<Sod2Engine> loaded;
     std::thread loader(
         [&] { loaded = loadSnapshot(&m.graph, m.options(), path); });

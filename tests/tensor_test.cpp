@@ -104,6 +104,17 @@ TEST(Tensor, ToInt64VectorConversions)
     EXPECT_THROW(f.toInt64Vector(), Error);
 }
 
+TEST(Tensor, FromInt64EmptyVector)
+{
+    // An empty vector has no storage to copy from; under
+    // -fsanitize=undefined a null memcpy source would be reported.
+    Tensor t = Tensor::fromInt64({});
+    EXPECT_EQ(t.dtype(), DType::kInt64);
+    EXPECT_EQ(t.shape(), Shape({0}));
+    EXPECT_EQ(t.numElements(), 0);
+    EXPECT_TRUE(t.toInt64Vector().empty());
+}
+
 TEST(Tensor, AllCloseToleratesSmallDiffs)
 {
     Tensor a = Tensor::full(DType::kFloat32, Shape({8}), 1.0);
